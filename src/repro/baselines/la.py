@@ -159,12 +159,14 @@ def _run_pass(
                     seen.add(nbr)
                     continue
                 seen.add(nbr)
-                containers[partition.side(nbr)].update(
-                    nbr, gain_vector(partition, nbr, k)
-                )
+                vec = gain_vector(partition, nbr, k)
                 if counters is not None:
                     counters.neighbor_updates += 1
-                    counters.container_updates += 1
+                container = containers[partition.side(nbr)]
+                if container.gain_of(nbr) != vec:
+                    container.update(nbr, vec)
+                    if counters is not None:
+                        counters.container_updates += 1
         if auditor is not None and auditor.after_move(
             partition, node, immediate
         ):

@@ -18,7 +18,7 @@ import time
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..audit import AuditConfig, PassAuditor, resolve_audit
-from ..datastructures import PassJournal, TreeGainContainer
+from ..datastructures import HeapGainContainer, PassJournal
 from ..hypergraph import Hypergraph
 from ..kernels import make_gain_engine, resolve_kernel
 from ..partition import BalanceConstraint, BipartitionResult, Partition
@@ -300,7 +300,7 @@ def _refine(
 
 
 def _pick_move(
-    containers: Tuple[TreeGainContainer, TreeGainContainer],
+    containers: Tuple[HeapGainContainer, HeapGainContainer],
     partition: Partition,
     balance: BalanceConstraint,
 ) -> Optional[int]:
@@ -356,7 +356,7 @@ def _run_pass(
     cached = config.update_strategy == "cached"
     contribs = engine.new_contribution_state() if cached else None
 
-    containers = (TreeGainContainer(), TreeGainContainer())
+    containers = (HeapGainContainer(), HeapGainContainer())
     for v in range(graph.num_nodes):
         if not partition.is_locked(v):
             containers[partition.side(v)].insert(v, gains[v])
@@ -426,7 +426,7 @@ def _update_neighbors(
     moved: int,
     partition: Partition,
     engine: ProbabilisticGainEngine,
-    containers: Tuple[TreeGainContainer, TreeGainContainer],
+    containers: Tuple[HeapGainContainer, HeapGainContainer],
     config: PropConfig,
     prob_fn,
     counters: Optional[PassCounters] = None,
@@ -456,7 +456,7 @@ def _update_neighbors_cached(
     moved: int,
     partition: Partition,
     engine: ProbabilisticGainEngine,
-    containers: Tuple[TreeGainContainer, TreeGainContainer],
+    containers: Tuple[HeapGainContainer, HeapGainContainer],
     config: PropConfig,
     prob_fn,
     contribs,
@@ -490,7 +490,7 @@ def _update_neighbors_cached(
 def _update_top_ranked_cached(
     partition: Partition,
     engine: ProbabilisticGainEngine,
-    containers: Tuple[TreeGainContainer, TreeGainContainer],
+    containers: Tuple[HeapGainContainer, HeapGainContainer],
     config: PropConfig,
     prob_fn,
     contribs,
@@ -517,7 +517,7 @@ def _update_top_ranked_cached(
 def _update_top_ranked(
     partition: Partition,
     engine: ProbabilisticGainEngine,
-    containers: Tuple[TreeGainContainer, TreeGainContainer],
+    containers: Tuple[HeapGainContainer, HeapGainContainer],
     config: PropConfig,
     prob_fn,
     counters: Optional[PassCounters] = None,

@@ -5,6 +5,7 @@ from .bucket_list import BucketList
 from .gain_container import (
     BucketGainContainer,
     GainContainer,
+    HeapGainContainer,
     TreeGainContainer,
 )
 from .heap import AddressablePriorityQueue
@@ -15,6 +16,7 @@ __all__ = [
     "AddressablePriorityQueue",
     "BucketList",
     "GainContainer",
+    "HeapGainContainer",
     "TreeGainContainer",
     "BucketGainContainer",
     "PassJournal",

@@ -2,17 +2,21 @@
 
 The iterative partitioners (FM, LA, PROP) need, per side of the partition, a
 collection of free nodes ordered by gain, supporting best-node queries and
-gain updates.  Two realizations exist:
+gain updates.  Three realizations exist:
 
 * :class:`BucketGainContainer` — FM's O(1) bucket array; integer gains only
   (unit net costs).
 * :class:`TreeGainContainer` — AVL tree keyed by ``(gain, node)``; works for
-  float gains (PROP), weighted-net integer gains (FM-tree) and
-  lexicographic gain vectors (LA).
+  float gains, weighted-net integer gains (FM-tree) and lexicographic gain
+  vectors (LA).
+* :class:`HeapGainContainer` — lazy-deletion binary heap (an
+  :class:`~repro.datastructures.heap.AddressablePriorityQueue`); numeric
+  gains only.  PROP's container: the same total order as the tree
+  container at a fraction of its constant factor.
 
-Ties are broken deterministically: the tree container prefers the higher
-node id among equal gains, the bucket container is LIFO within a bucket.
-Determinism matters because every experiment is seeded end-to-end.
+Ties are broken deterministically: the tree and heap containers prefer the
+higher node id among equal gains, the bucket container is LIFO within a
+bucket.  Determinism matters because every experiment is seeded end-to-end.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from typing import Any, Dict, Iterator, List, Tuple
 
 from .avl import AVLTree
 from .bucket_list import BucketList
+from .heap import AddressablePriorityQueue
 
 
 class GainContainer(ABC):
@@ -125,6 +130,66 @@ class TreeGainContainer(GainContainer):
 
     def __contains__(self, node: int) -> bool:
         return node in self._gains
+
+
+class HeapGainContainer(GainContainer):
+    """Heap gain container; PROP's substitute for the paper's AVL tree.
+
+    Sec. 3.5 asks for Θ(log n) best-node selection and gain updates; the
+    lazy-deletion heap gives exactly that (amortized), with C-backed
+    ``heapq`` doing the work.  Nodes are queued under the item ``-node``:
+    the queue breaks priority ties toward the smallest item, i.e. the
+    highest node id — the :class:`TreeGainContainer` order ``(gain,
+    node)`` max, so both containers make bit-identical choices.  Gains
+    must be numbers (they are negated); LA's gain vectors stay on the
+    tree container.
+    """
+
+    __slots__ = ("_pq",)
+
+    def __init__(self) -> None:
+        self._pq = AddressablePriorityQueue()
+
+    def insert(self, node: int, gain: Any) -> None:
+        if -node in self._pq:
+            raise KeyError(f"node {node} already present")
+        self._pq.push(-node, gain)
+
+    def remove(self, node: int) -> Any:
+        pq = self._pq
+        try:
+            gain = pq.priority(-node)
+        except KeyError:
+            raise KeyError(f"node {node} not present") from None
+        pq.discard(-node)
+        return gain
+
+    def update(self, node: int, gain: Any) -> None:
+        if -node not in self._pq:
+            raise KeyError(f"node {node} not present")
+        self._pq.push(-node, gain)
+
+    def gain_of(self, node: int) -> Any:
+        return self._pq.priority(-node)
+
+    def peek_best(self) -> Tuple[int, Any]:
+        entry = self._pq.peek()
+        if entry is None:
+            raise KeyError("peek_best on an empty container")
+        return -entry[0], entry[1]
+
+    def iter_descending(self) -> Iterator[Tuple[int, Any]]:
+        for item, gain, _ in self._pq.iter_descending():
+            yield -item, gain
+
+    def top(self, k: int) -> List[Tuple[int, Any]]:
+        return [(-item, gain) for item, gain, _ in self._pq.top(k)]
+
+    def __len__(self) -> int:
+        return len(self._pq)
+
+    def __contains__(self, node: int) -> bool:
+        return -node in self._pq
 
 
 class BucketGainContainer(GainContainer):

@@ -119,3 +119,42 @@ class TestPartitioner:
             [1.0 + (i % 2) for i in range(medium_circuit.num_nets)]
         )
         LAPartitioner(2).partition(weighted, seed=1).verify(weighted)
+
+
+class TestContainerChurn:
+    """LA reinserts a neighbor only when its gain vector changed."""
+
+    def test_unchanged_vectors_are_not_reinserted(
+        self, medium_circuit, monkeypatch
+    ):
+        from repro.baselines import la
+        from repro.datastructures import TreeGainContainer
+        from repro.telemetry import MemoryRecorder
+
+        def run(recorder):
+            return LAPartitioner(2).partition(
+                medium_circuit, seed=4, recorder=recorder
+            )
+
+        skipping = MemoryRecorder()
+        result = run(skipping)
+        totals = skipping.counter_totals
+        assert 0 < totals["container_updates"] < totals["neighbor_updates"]
+
+        class AlwaysReinsert(TreeGainContainer):
+            """Never equal to a fresh vector: every neighbor is reinserted."""
+
+            __slots__ = ()
+
+            def gain_of(self, node):
+                return None
+
+        monkeypatch.setattr(la, "TreeGainContainer", AlwaysReinsert)
+        churning = MemoryRecorder()
+        reference = run(churning)
+        assert churning.counter_totals["container_updates"] == (
+            churning.counter_totals["neighbor_updates"]
+        )
+        assert result.cut == reference.cut
+        assert result.sides == reference.sides
+        assert skipping.moves == churning.moves

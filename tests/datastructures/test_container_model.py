@@ -3,9 +3,9 @@
 Hypothesis drives random operation sequences against a container and a
 deliberately naive model kept in plain dicts/lists; after every step the
 two must agree on everything observable.  The model encodes the
-*documented* tie rules — ``(gain, node)`` max for the tree container,
-LIFO-within-bucket for the bucket container — so a regression in either
-structure's ordering (not just its membership) is caught.
+*documented* tie rules — ``(gain, node)`` max for the tree and heap
+containers, LIFO-within-bucket for the bucket container — so a regression
+in any structure's ordering (not just its membership) is caught.
 """
 
 import pytest
@@ -18,12 +18,18 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.datastructures import BucketGainContainer, TreeGainContainer
+from repro.datastructures import (
+    BucketGainContainer,
+    HeapGainContainer,
+    TreeGainContainer,
+)
+from repro.datastructures.heap import COMPACT_SLACK
 
 NODES = st.integers(min_value=0, max_value=23)
 INT_GAINS = st.integers(min_value=-6, max_value=6)
 FLOAT_GAINS = st.one_of(
     INT_GAINS.map(float),
+    st.sampled_from([0.0, -0.0]),
     st.floats(min_value=-6.0, max_value=6.0, allow_nan=False, width=32),
 )
 
@@ -35,9 +41,11 @@ COMMON_SETTINGS = settings(
 class TreeContainerMachine(RuleBasedStateMachine):
     """TreeGainContainer vs. a plain dict ordered by ``(gain, node)``."""
 
+    factory = TreeGainContainer
+
     def __init__(self):
         super().__init__()
-        self.container = TreeGainContainer()
+        self.container = self.factory()
         self.model = {}
 
     def _descending(self):
@@ -71,6 +79,21 @@ class TreeContainerMachine(RuleBasedStateMachine):
         self.container.update(node, gain)
         self.model[node] = gain
 
+    @precondition(lambda self: self.model)
+    @rule(
+        data=st.data(), a=FLOAT_GAINS, b=FLOAT_GAINS,
+        k=st.integers(min_value=1, max_value=24),
+    )
+    def churn_then_top(self, data, a, b, k):
+        """A→B→A leaves one entry per node: top(k) lists no node twice."""
+        node = data.draw(st.sampled_from(sorted(self.model)))
+        for gain in (a, b, a):
+            self.container.update(node, gain)
+        self.model[node] = a
+        top = self.container.top(k)
+        assert len({n for n, _ in top}) == len(top)
+        assert top == self._descending()[:k]
+
     @rule(node=NODES)
     def gain_of(self, node):
         if node not in self.model:
@@ -98,6 +121,32 @@ class TreeContainerMachine(RuleBasedStateMachine):
         else:
             with pytest.raises(KeyError):
                 self.container.peek_best()
+
+
+class HeapContainerMachine(TreeContainerMachine):
+    """HeapGainContainer vs. the same ``(gain, node)`` model: the heap
+    must reproduce the tree container's order exactly."""
+
+    factory = HeapGainContainer
+
+    @invariant()
+    def stale_entries_bounded(self):
+        pq = self.container._pq
+        assert len(pq._heap) <= 2 * len(pq) + COMPACT_SLACK
+
+
+@pytest.mark.parametrize("factory", [TreeGainContainer, HeapGainContainer])
+def test_signed_zero_and_equal_gains_prefer_higher_node(factory):
+    container = factory()
+    for node, gain in ((3, 0.0), (9, -0.0), (5, 0.0), (1, -0.0), (7, -1.0)):
+        container.insert(node, gain)
+    assert container.peek_best() == (9, 0.0)
+    assert [n for n, _ in container.top(5)] == [9, 5, 3, 1, 7]
+    container.update(9, -2.0)
+    container.update(9, 0.0)
+    container.update(3, -0.0)
+    assert [n for n, _ in container.top(8)] == [9, 5, 3, 1, 7]
+    assert [n for n, _ in container.iter_descending()] == [9, 5, 3, 1, 7]
 
 
 class BucketContainerMachine(RuleBasedStateMachine):
@@ -204,6 +253,8 @@ class BucketContainerMachine(RuleBasedStateMachine):
 
 TestTreeContainerModel = TreeContainerMachine.TestCase
 TestTreeContainerModel.settings = COMMON_SETTINGS
+TestHeapContainerModel = HeapContainerMachine.TestCase
+TestHeapContainerModel.settings = COMMON_SETTINGS
 TestBucketContainerModel = BucketContainerMachine.TestCase
 TestBucketContainerModel.settings = COMMON_SETTINGS
 

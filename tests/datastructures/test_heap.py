@@ -10,6 +10,7 @@ import itertools
 import random
 
 from repro.datastructures import AddressablePriorityQueue
+from repro.datastructures.heap import COMPACT_SLACK
 
 
 def test_pop_orders_by_priority_then_item():
@@ -116,3 +117,90 @@ def test_interleaved_exhaustive_small():
             item, prio, _ = pq.pop()
             got.append((item, prio))
         assert got == expected
+
+
+def test_stale_entries_stay_bounded_under_churn():
+    """Heavy update/discard churn never lets the heap outgrow its live
+    entries by more than ``2 * live + COMPACT_SLACK``."""
+    rng = random.Random(4)
+    pq = AddressablePriorityQueue()
+    rebuilt = 0
+    for _ in range(20000):
+        heap = pq._heap
+        item = rng.randrange(50)
+        if rng.random() < 0.8:
+            pq.push(item, rng.random())
+        else:
+            pq.discard(item)
+        rebuilt += pq._heap is not heap
+        assert len(pq._heap) <= 2 * len(pq) + COMPACT_SLACK
+    assert rebuilt > 0
+
+
+def test_pop_order_is_history_independent_across_compaction():
+    """The resume-determinism property survives heap rebuilds."""
+    rng = random.Random(21)
+    for _ in range(20):
+        final = {}
+        pq = AddressablePriorityQueue()
+        rebuilt = 0
+        for _ in range(800):
+            heap = pq._heap
+            item = rng.randrange(12)
+            if rng.random() < 0.75:
+                prio = rng.choice([0.5, 1.0, 1.5, 2.0])
+                pq.push(item, prio, payload=item * 2)
+                final[item] = prio
+            else:
+                pq.discard(item)
+                final.pop(item, None)
+            rebuilt += pq._heap is not heap
+        assert rebuilt > 0
+        expected = sorted(final.items(), key=lambda kv: (-kv[1], kv[0]))
+        if expected:
+            assert pq.peek()[:2] == expected[0]
+        got = []
+        while len(pq):
+            item, prio, payload = pq.pop()
+            assert payload == item * 2
+            got.append((item, prio))
+        assert got == expected
+
+
+def test_update_back_to_old_priority_has_one_live_entry():
+    pq = AddressablePriorityQueue()
+    pq.push(1, 2.0)
+    pq.push(1, 5.0)
+    pq.push(1, 2.0)  # A -> B -> A: the first entry must not revive
+    pq.push(2, 1.0)
+    assert pq.top(5) == [(1, 2.0, None), (2, 1.0, None)]
+    assert pq.pop()[:2] == (1, 2.0)
+    assert pq.pop()[:2] == (2, 1.0)
+    assert pq.pop() is None
+
+
+def test_payloads_are_never_compared():
+    pq = AddressablePriorityQueue()
+    pq.push(1, 1.0, payload=None)
+    pq.push(1, 1.0, payload="x")  # same key, incomparable payloads
+    assert pq.pop() == (1, 1.0, "x")
+    assert pq.pop() is None
+
+
+def test_top_is_bounded_descending_and_non_destructive():
+    rng = random.Random(5)
+    pq = AddressablePriorityQueue()
+    for _ in range(300):
+        pq.push(rng.randrange(40), float(rng.randrange(6)))
+    expected = sorted(
+        ((item, pq.priority(item)) for item in range(40) if item in pq),
+        key=lambda kv: (-kv[1], kv[0]),
+    )
+    for k in (0, 1, 5, len(expected) + 3):
+        assert [e[:2] for e in pq.top(k)] == expected[:k]
+    assert [e[:2] for e in pq.iter_descending()] == expected
+    assert len(pq) == len(expected)
+    got = []
+    while len(pq):
+        got.append(pq.pop()[:2])
+    assert got == expected
