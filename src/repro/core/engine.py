@@ -433,19 +433,26 @@ def _update_neighbors(
 ) -> None:
     """Sec. 3.4: refresh gain (and probability) of each free neighbor."""
     graph = partition.graph
+    nets = graph.nets
+    locked = partition.locked_view()
+    sides = partition.sides_view()
+    node_gain = engine.node_gain
+    set_probability = engine.set_probability
+    update_probabilities = config.update_neighbor_probabilities
     seen = {moved}
     for net_id in graph.node_nets(moved):
-        for nbr in graph.net(net_id):
-            if nbr in seen or partition.is_locked(nbr):
-                seen.add(nbr)
+        for nbr in nets[net_id]:
+            if nbr in seen:
                 continue
             seen.add(nbr)
-            gain = engine.node_gain(nbr)
-            if config.update_neighbor_probabilities:
-                engine.set_probability(nbr, prob_fn(gain))
+            if locked[nbr]:
+                continue
+            gain = node_gain(nbr)
+            if update_probabilities:
+                set_probability(nbr, prob_fn(gain))
             if counters is not None:
                 counters.neighbor_updates += 1
-            container = containers[partition.side(nbr)]
+            container = containers[sides[nbr]]
             if container.gain_of(nbr) != gain:
                 container.update(nbr, gain)
                 if counters is not None:
@@ -531,15 +538,19 @@ def _update_top_ranked(
     k = config.top_update_count
     if k <= 0:
         return
+    node_gain = engine.node_gain
+    set_probability = engine.set_probability
+    update_probabilities = config.update_neighbor_probabilities
     for side in (0, 1):
-        for node, stale in containers[side].top(k):
+        container = containers[side]
+        for node, stale in container.top(k):
             if counters is not None:
                 counters.topk_updates += 1
-            gain = engine.node_gain(node)
+            gain = node_gain(node)
             if gain == stale:
                 continue  # unchanged: skip the O(log n) reinsertion
-            if config.update_neighbor_probabilities:
-                engine.set_probability(node, prob_fn(gain))
-            containers[side].update(node, gain)
+            if update_probabilities:
+                set_probability(node, prob_fn(gain))
+            container.update(node, gain)
             if counters is not None:
                 counters.container_updates += 1

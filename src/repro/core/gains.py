@@ -144,17 +144,25 @@ class ProbabilisticGainEngine:
     def net_gain(self, node: int, net_id: int) -> float:
         """Gain contributed to ``node`` by one of its nets (Eqns. 3–6).
 
-        Single pass over the net's pins (both side products at once).
+        Single pass over the net's pins (both side products at once); a
+        dead net (see :meth:`node_gain`) skips the pass.
         """
         part = self.partition
         graph = part.graph
         p = self.p
         sides = part.sides_view()
         s = sides[node]
+        cost = graph.net_costs[net_id]
+        own = 1 if part.locked_view()[node] else 0
+        if (
+            part.locked_counts_view(s)[net_id] > own
+            and part.locked_counts_view(1 - s)[net_id]
+        ):
+            return cost * (0.0 - 0.0)
         prod_a = 1.0
         prod_b = 1.0
         has_other = False
-        for v in graph.net(net_id):
+        for v in graph.nets[net_id]:
             if v == node:
                 continue
             if sides[v] == s:
@@ -162,7 +170,6 @@ class ProbabilisticGainEngine:
             else:
                 has_other = True
                 prod_b *= p[v]
-        cost = graph.net_cost(net_id)
         if has_other:
             return cost * (prod_a - prod_b)
         return cost * (prod_a - 1.0)
@@ -338,20 +345,35 @@ class ProbabilisticGainEngine:
         moved node), so both side products of each net are accumulated in a
         single pass over the net's pins instead of via two
         :meth:`net_clearing_probability` calls.
+
+        A *dead* net — a locked pin on ``u``'s side other than ``u`` itself
+        and a locked pin on the other side — can never leave the cutset
+        (Eqns. 5/6 with both clearing probabilities 0).  Every factor is
+        >= +0 and each product holds a locked pin's 0, so the scan would
+        end at exactly ``cost * (0.0 - 0.0)``; the net adds that in O(1)
+        instead.  ``u``'s own lock is discounted so that the gain of a
+        locked node stays exact.
         """
         part = self.partition
         graph = part.graph
         p = self.p
         sides = part.sides_view()
-        net_of = graph.net
+        nets = graph.nets
         net_costs = graph.net_costs
         s = sides[node]
+        locked_mine = part.locked_counts_view(s)
+        locked_other = part.locked_counts_view(1 - s)
+        own = 1 if part.locked_view()[node] else 0
         total = 0.0
         for net_id in graph.node_nets(node):
+            cost = net_costs[net_id]
+            if locked_mine[net_id] > own and locked_other[net_id]:
+                total += cost * (0.0 - 0.0)
+                continue
             prod_a = 1.0
             prod_b = 1.0
             has_other = False
-            for v in net_of(net_id):
+            for v in nets[net_id]:
                 if v == node:
                     continue
                 pv = p[v]
@@ -360,7 +382,6 @@ class ProbabilisticGainEngine:
                 else:
                     has_other = True
                     prod_b *= pv
-            cost = net_costs[net_id]
             if has_other:
                 total += cost * (prod_a - prod_b)
             else:

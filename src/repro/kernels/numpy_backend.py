@@ -66,6 +66,7 @@ class NumpyGainEngine(ProbabilisticGainEngine):
         "_prod_lists_fresh",
         "_prod_valid",
         "_dirty_nodes",
+        "_dirty_flags",
         "_all_invalid",
         "_buf",
         "product_cache_hits",
@@ -96,8 +97,11 @@ class NumpyGainEngine(ProbabilisticGainEngine):
         self._prod_valid: List[bool] = [False] * num_nets
         # Deferred invalidation: probability writes append the touched
         # node here (O(1)) instead of walking its nets; the walk happens
-        # once, at the next cache read (see _flush_invalidations).
+        # once, at the next cache read (see _flush_invalidations).  A node
+        # is queued only on its first write since the last clear
+        # (``_dirty_flags``), so the list never outgrows ``num_nodes``.
         self._dirty_nodes: List[int] = []
+        self._dirty_flags = bytearray(partition.graph.num_nodes)
         self._all_invalid = False
         #: Incremental-engine telemetry: nets whose cached products were
         #: reused / had to be rescanned during move updates.
@@ -140,16 +144,28 @@ class NumpyGainEngine(ProbabilisticGainEngine):
     # ------------------------------------------------------------------
     def set_probability(self, node: int, value: float) -> None:
         super().set_probability(node, value)
-        self._dirty_nodes.append(node)
+        self._mark_dirty(node)
 
     def fill(self, value: float) -> None:
         super().fill(value)
         self._all_invalid = True
-        self._dirty_nodes.clear()
+        self._clear_dirty()
 
     def on_lock(self, node: int) -> None:
         super().on_lock(node)
-        self._dirty_nodes.append(node)
+        self._mark_dirty(node)
+
+    def _mark_dirty(self, node: int) -> None:
+        flags = self._dirty_flags
+        if not flags[node]:
+            flags[node] = 1
+            self._dirty_nodes.append(node)
+
+    def _clear_dirty(self) -> None:
+        flags = self._dirty_flags
+        for v in self._dirty_nodes:
+            flags[v] = 0
+        self._dirty_nodes.clear()
 
     def _flush_invalidations(self) -> None:
         """Apply deferred invalidations before any validity flag is read."""
@@ -157,14 +173,14 @@ class NumpyGainEngine(ProbabilisticGainEngine):
             # Supersedes any queued per-node invalidation.
             self._prod_valid = [False] * self.csr.num_nets
             self._all_invalid = False
-            self._dirty_nodes.clear()
+            self._clear_dirty()
         elif self._dirty_nodes:
             valid = self._prod_valid
             node_nets = self.partition.graph.node_nets
             for v in self._dirty_nodes:
                 for net_id in node_nets(v):
                     valid[net_id] = False
-            self._dirty_nodes.clear()
+            self._clear_dirty()
 
     # ------------------------------------------------------------------
     # Vectorized bulk kernels
@@ -293,7 +309,7 @@ class NumpyGainEngine(ProbabilisticGainEngine):
         self._prod_src = np.concatenate((prod0, prod1))
         self._prod_lists_fresh = False
         self._prod_valid = [True] * self.csr.num_nets
-        self._dirty_nodes.clear()
+        self._clear_dirty()
         self._all_invalid = False
 
     def _ensure_product_lists(self) -> None:

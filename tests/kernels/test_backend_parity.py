@@ -257,6 +257,29 @@ class TestIncrementalCache:
         for net_id in graph.node_nets(touched):
             assert net_id not in valid_nets
 
+    def test_deferred_invalidation_queues_each_node_once(self):
+        """Repeated writes queue a node once, the flush still invalidates
+        exactly the written nodes' nets, and a write after the flush
+        queues the node again."""
+        graph = weighted_instance(7, max_nodes=16)
+        sides = random_balanced_sides(graph, 7)
+        vector = NumpyGainEngine(
+            Partition(graph, list(sides)), [0.5] * graph.num_nodes
+        )
+        vector.new_contribution_state()
+        for i in range(50):
+            for v in (0, 1, 0, 1, 0):
+                vector.set_probability(v, 0.25 + 0.01 * (i % 3))
+        vector.partition.move_and_lock(2)
+        vector.on_lock(2)
+        assert sorted(vector._dirty_nodes) == [0, 1, 2]
+        stale = {net for v in (0, 1, 2) for net in graph.node_nets(v)}
+        valid_nets = {net for net, _, _ in vector.product_cache_snapshot()}
+        assert valid_nets == set(range(graph.num_nets)) - stale
+        assert vector._dirty_nodes == []
+        vector.set_probability(0, 0.5)
+        assert vector._dirty_nodes == [0]
+
 
 class TestResolution:
     def test_explicit_names_pass_through(self):
