@@ -46,18 +46,30 @@ MoveObserver = Callable[[int, int, float, float], None]
 DEFAULT_MAX_PASSES = 100
 
 
-def _make_containers(
-    graph: Hypergraph, container: str
-) -> Tuple[Container, Container]:
-    if container == "bucket":
-        if not graph.has_unit_net_costs:
-            raise ValueError(
-                "FM-bucket requires unit net costs; use container='tree'"
-            )
-        max_gain = max(
-            (graph.node_degree(v) for v in range(graph.num_nodes)), default=1
+def _bucket_max_gain(graph: Hypergraph) -> int:
+    """FM-bucket's gain bound ``p_max`` (at least 1); unit net costs only."""
+    if not graph.has_unit_net_costs:
+        raise ValueError(
+            "FM-bucket requires unit net costs; use container='tree'"
         )
-        max_gain = max(max_gain, 1)
+    max_gain = max(
+        (graph.node_degree(v) for v in range(graph.num_nodes)), default=1
+    )
+    return max(max_gain, 1)
+
+
+def _make_containers(
+    graph: Hypergraph, container: str, max_gain: Optional[int] = None
+) -> Tuple[Container, Container]:
+    """One empty gain container per side.
+
+    ``max_gain`` is the bucket bound from :func:`_bucket_max_gain`;
+    :func:`run_fm` computes it once per run, callers that pass ``None``
+    get it computed here.
+    """
+    if container == "bucket":
+        if max_gain is None:
+            max_gain = _bucket_max_gain(graph)
         return (
             BucketGainContainer(graph.num_nodes, max_gain),
             BucketGainContainer(graph.num_nodes, max_gain),
@@ -86,24 +98,13 @@ def _pick_move(
     return None
 
 
-def _apply_delta(
-    containers: Tuple[Container, Container],
-    partition: Partition,
-    node: int,
-    delta: float,
-    counters: Optional[PassCounters] = None,
-) -> None:
-    if delta == 0:
-        return
-    if counters is not None:
-        counters.neighbor_updates += 1
-        counters.container_updates += 1
-    side = partition.side(node)
-    container = containers[side]
-    if isinstance(container, BucketGainContainer):
-        container.adjust(node, int(delta))
-    else:
-        container.update(node, container.gain_of(node) + delta)
+def _delta_costs(
+    graph: Hypergraph, containers: Tuple[Container, Container]
+) -> Sequence[float]:
+    """Per-net delta for the FM rules: ``int`` for buckets, else the cost."""
+    if isinstance(containers[0], BucketGainContainer):
+        return [int(c) for c in graph.net_costs]
+    return graph.net_costs
 
 
 def _move_with_gain_updates(
@@ -112,6 +113,7 @@ def _move_with_gain_updates(
     partition: Partition,
     containers: Tuple[Container, Container],
     counters: Optional[PassCounters] = None,
+    costs: Optional[Sequence[float]] = None,
 ) -> float:
     """Move ``moved``, lock it, and apply the FM critical-net delta rules.
 
@@ -120,52 +122,77 @@ def _move_with_gain_updates(
     (nets with 0 or 1 pins on one side) are touched, which is what makes
     FM's updates O(pins of the moved node).  Returns the realized
     immediate gain of the move.
+
+    Each gain delta is one ``adjust`` call on the container of the pin's
+    side.  ``costs`` is :func:`_delta_costs` for these containers; a pass
+    computes it once, callers that pass ``None`` get it computed here.
+    A net of cost 0 changes no gain and is skipped.
     """
     graph = partition.graph
+    if costs is None:
+        costs = _delta_costs(graph, containers)
     to_side = 1 - from_side
+    nets = graph.nets
+    moved_nets = graph.node_nets(moved)
+    sides = partition.sides_view()
+    locked = partition.locked_view()
+    from_adjust = containers[from_side].adjust
+    to_adjust = containers[to_side].adjust
+    updates = 0
 
-    for net_id in graph.node_nets(moved):
-        cost = graph.net_cost(net_id)
-        to_count = partition.count(net_id, to_side)
+    to_counts = partition.counts_view(to_side)
+    for net_id in moved_nets:
+        to_count = to_counts[net_id]
+        if to_count > 1:
+            continue
+        cost = costs[net_id]
+        if not cost:
+            continue
         if to_count == 0:
             # Net was entirely on from_side: every other free pin gains the
             # option of keeping the net uncut by following the move.
-            for v in graph.net(net_id):
-                if v != moved and not partition.is_locked(v):
-                    _apply_delta(containers, partition, v, +cost, counters)
-        elif to_count == 1:
+            for v in nets[net_id]:
+                if v != moved and not locked[v]:
+                    from_adjust(v, cost)
+                    updates += 1
+        else:
             # The single to_side pin loses its "sole pin" bonus.
-            for v in graph.net(net_id):
-                if (
-                    v != moved
-                    and partition.side(v) == to_side
-                    and not partition.is_locked(v)
-                ):
-                    _apply_delta(containers, partition, v, -cost, counters)
+            for v in nets[net_id]:
+                if sides[v] == to_side:
+                    if not locked[v]:
+                        to_adjust(v, -cost)
+                        updates += 1
                     break
 
     realized = partition.move(moved)
 
-    for net_id in graph.node_nets(moved):
-        cost = graph.net_cost(net_id)
-        from_count = partition.count(net_id, from_side)
+    from_counts = partition.counts_view(from_side)
+    for net_id in moved_nets:
+        from_count = from_counts[net_id]
+        if from_count > 1:
+            continue
+        cost = costs[net_id]
+        if not cost:
+            continue
         if from_count == 0:
             # Net now entirely on to_side: other pins would newly cut it.
-            for v in graph.net(net_id):
-                if v != moved and not partition.is_locked(v):
-                    _apply_delta(containers, partition, v, -cost, counters)
-        elif from_count == 1:
+            for v in nets[net_id]:
+                if v != moved and not locked[v]:
+                    to_adjust(v, -cost)
+                    updates += 1
+        else:
             # The single remaining from_side pin becomes the sole pin.
-            for v in graph.net(net_id):
-                if (
-                    v != moved
-                    and partition.side(v) == from_side
-                    and not partition.is_locked(v)
-                ):
-                    _apply_delta(containers, partition, v, +cost, counters)
+            for v in nets[net_id]:
+                if sides[v] == from_side:
+                    if not locked[v]:
+                        from_adjust(v, cost)
+                        updates += 1
                     break
 
     partition.lock(moved)
+    if counters is not None:
+        counters.neighbor_updates += updates
+        counters.container_updates += updates
     return realized
 
 
@@ -195,6 +222,7 @@ def _run_pass(
 
     t0 = time.perf_counter()
     bucket = isinstance(containers[0], BucketGainContainer)
+    costs = _delta_costs(graph, containers)
     if csr is not None:
         from ..kernels.numpy_backend import fm_initial_gains
 
@@ -218,7 +246,7 @@ def _run_pass(
         from_side = partition.side(node)
         selection_gain = containers[from_side].remove(node)
         immediate = _move_with_gain_updates(
-            node, from_side, partition, containers, counters
+            node, from_side, partition, containers, counters, costs
         )
         if rec is not None:
             rec.move(
@@ -306,6 +334,7 @@ def run_fm(
     }
     if rec is not None:
         rec.run_start(algorithm, seed, graph.num_nodes, graph.num_nets)
+    max_gain = _bucket_max_gain(graph) if container == "bucket" else None
     passes = 0
     total_moves = 0
     pass_cuts = []
@@ -313,7 +342,7 @@ def run_fm(
         pass_start = time.perf_counter()
         if rec is not None:
             rec.pass_start(passes)
-        containers = _make_containers(graph, container)
+        containers = _make_containers(graph, container, max_gain)
         journal = _run_pass(
             partition, balance, containers,
             observer=observer, pass_index=passes, auditor=auditor,

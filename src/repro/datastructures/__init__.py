@@ -1,9 +1,8 @@
 """Core data structures: AVL tree, FM gain buckets, heap, pass journal."""
 
 from .avl import AVLTree
-from .bucket_list import BucketList
+from .bucket_list import BucketGainContainer
 from .gain_container import (
-    BucketGainContainer,
     GainContainer,
     HeapGainContainer,
     TreeGainContainer,
@@ -14,7 +13,6 @@ from .prefix import MoveRecord, PassJournal
 __all__ = [
     "AVLTree",
     "AddressablePriorityQueue",
-    "BucketList",
     "GainContainer",
     "HeapGainContainer",
     "TreeGainContainer",

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Tuple
 
+from .gain_container import GainContainer
+
 _NIL = -1
 
 
-class BucketList:
+class BucketGainContainer(GainContainer):
     """Gain-indexed bucket array over integer node ids.
 
     Parameters
@@ -33,7 +35,16 @@ class BucketList:
 
     LIFO bucket discipline is used (new insertions go to the bucket front),
     which is the variant reported to behave best in practice for FM.
+
+    The container operations are defined in this class's own body (not
+    inherited from a helper class): tracers that wrap a
+    :class:`GainContainer` subclass's methods find them here.
     """
+
+    __slots__ = (
+        "_capacity", "_max_gain", "_heads", "_prev", "_next", "_gain",
+        "_best", "_size",
+    )
 
     def __init__(self, capacity: int, max_gain: int) -> None:
         if capacity <= 0:
@@ -70,7 +81,7 @@ class BucketList:
         """Current gain of ``node``; KeyError if absent."""
         g = self._gain[node]
         if g is None:
-            raise KeyError(f"node {node} not in BucketList")
+            raise KeyError(f"node {node} not present")
         return g
 
     # ------------------------------------------------------------------
@@ -81,7 +92,7 @@ class BucketList:
         if not 0 <= node < self._capacity:
             raise KeyError(f"node {node} out of range")
         if self._gain[node] is not None:
-            raise KeyError(f"node {node} already in BucketList")
+            raise KeyError(f"node {node} already present")
         b = self._bucket(gain)
         head = self._heads[b]
         self._next[node] = head
@@ -98,7 +109,7 @@ class BucketList:
         """Remove ``node``; returns its gain.  KeyError if absent."""
         g = self._gain[node]
         if g is None:
-            raise KeyError(f"node {node} not in BucketList")
+            raise KeyError(f"node {node} not present")
         b = self._bucket(g)
         prv, nxt = self._prev[node], self._next[node]
         if prv != _NIL:
@@ -129,9 +140,53 @@ class BucketList:
         self.insert(node, new_gain)
 
     def adjust(self, node: int, delta: int) -> None:
-        """Shift the gain of ``node`` by ``delta`` (FM's ±1 updates)."""
-        if delta:
-            self.update(node, self.gain_of(node) + delta)
+        """Shift the gain of ``node`` by ``delta`` (FM's ±1 updates).
+
+        One call per FM gain delta, so the unlink/relink is done inline.
+        For a nonzero ``delta`` the result equals ``update(node,
+        gain_of(node) + delta)``: the node goes to the front of its new
+        bucket and the best pointer follows the same rule.  A zero
+        ``delta`` leaves the node where it is.  The range check runs
+        before the node is unlinked, so a ValueError (or the KeyError of
+        an absent node) leaves the structure unchanged.
+        """
+        if not delta:
+            return
+        gains = self._gain
+        gain = gains[node]
+        if gain is None:
+            raise KeyError(f"node {node} not present")
+        new_gain = gain + delta
+        max_gain = self._max_gain
+        if new_gain > max_gain or new_gain < -max_gain:
+            raise ValueError(
+                f"gain {new_gain} outside ±{max_gain} bucket range"
+            )
+        heads, prev, nxt = self._heads, self._prev, self._next
+        b = gain + max_gain
+        p, n = prev[node], nxt[node]
+        if p != _NIL:
+            nxt[p] = n
+        else:
+            heads[b] = n
+        if n != _NIL:
+            prev[n] = p
+        nb = new_gain + max_gain
+        head = heads[nb]
+        nxt[node] = head
+        prev[node] = _NIL
+        if head != _NIL:
+            prev[head] = node
+        heads[nb] = node
+        gains[node] = new_gain
+        best = self._best
+        if nb > best:
+            self._best = nb
+        elif b == best and heads[b] == _NIL:
+            # ``node`` now sits in bucket nb < b, so the scan stops.
+            while heads[best] == _NIL:
+                best -= 1
+            self._best = best
 
     # ------------------------------------------------------------------
     # Queries
@@ -139,7 +194,7 @@ class BucketList:
     def peek_best(self) -> Tuple[int, int]:
         """(node, gain) at the front of the highest non-empty bucket."""
         if self._size == 0:
-            raise KeyError("peek_best() on empty BucketList")
+            raise KeyError("peek_best() on an empty container")
         node = self._heads[self._best]
         return node, self._best - self._max_gain
 

@@ -4,8 +4,8 @@ The iterative partitioners (FM, LA, PROP) need, per side of the partition, a
 collection of free nodes ordered by gain, supporting best-node queries and
 gain updates.  Three realizations exist:
 
-* :class:`BucketGainContainer` — FM's O(1) bucket array; integer gains only
-  (unit net costs).
+* :class:`~repro.datastructures.bucket_list.BucketGainContainer` — FM's
+  O(1) bucket array; integer gains only (unit net costs).
 * :class:`TreeGainContainer` — AVL tree keyed by ``(gain, node)``; works for
   float gains, weighted-net integer gains (FM-tree) and lexicographic gain
   vectors (LA).
@@ -25,7 +25,6 @@ from abc import ABC, abstractmethod
 from typing import Any, Dict, Iterator, List, Tuple
 
 from .avl import AVLTree
-from .bucket_list import BucketList
 from .heap import AddressablePriorityQueue
 
 
@@ -66,6 +65,10 @@ class GainContainer(ABC):
 
     def __bool__(self) -> bool:
         return len(self) > 0
+
+    def adjust(self, node: int, delta: Any) -> None:
+        """Shift the gain of ``node`` by ``delta`` (FM's delta rules)."""
+        self.update(node, self.gain_of(node) + delta)
 
     def top(self, k: int) -> List[Tuple[int, Any]]:
         """The best ``k`` (node, gain) pairs (fewer if the container is small).
@@ -127,6 +130,9 @@ class TreeGainContainer(GainContainer):
 
     def __len__(self) -> int:
         return len(self._gains)
+
+    def __bool__(self) -> bool:
+        return bool(self._gains)
 
     def __contains__(self, node: int) -> bool:
         return node in self._gains
@@ -190,40 +196,3 @@ class HeapGainContainer(GainContainer):
 
     def __contains__(self, node: int) -> bool:
         return -node in self._pq
-
-
-class BucketGainContainer(GainContainer):
-    """FM bucket-array gain container; integer gains in a bounded range."""
-
-    __slots__ = ("_buckets",)
-
-    def __init__(self, capacity: int, max_gain: int) -> None:
-        self._buckets = BucketList(capacity, max_gain)
-
-    def insert(self, node: int, gain: int) -> None:
-        self._buckets.insert(node, gain)
-
-    def remove(self, node: int) -> int:
-        return self._buckets.remove(node)
-
-    def update(self, node: int, gain: int) -> None:
-        self._buckets.update(node, gain)
-
-    def adjust(self, node: int, delta: int) -> None:
-        """Shift gain by ``delta`` — FM's natural ±1 update."""
-        self._buckets.adjust(node, delta)
-
-    def gain_of(self, node: int) -> int:
-        return self._buckets.gain_of(node)
-
-    def peek_best(self) -> Tuple[int, int]:
-        return self._buckets.peek_best()
-
-    def iter_descending(self) -> Iterator[Tuple[int, int]]:
-        return self._buckets.iter_descending()
-
-    def __len__(self) -> int:
-        return len(self._buckets)
-
-    def __contains__(self, node: int) -> bool:
-        return node in self._buckets

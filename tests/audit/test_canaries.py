@@ -38,17 +38,21 @@ def _expect_violation(partitioner, graph, *invariants, audit=None):
 
 
 def test_fm_broken_delta_rule_is_caught(monkeypatch, graph):
-    """Dropping positive FM gain deltas leaves stale container gains."""
-    import repro.baselines.fm as fm
+    """Dropping positive FM gain deltas leaves stale container gains.
 
-    original = fm._apply_delta
+    Every FM delta-rule update is one ``adjust`` call on the pin's gain
+    container; FM-tree's container inherits :meth:`GainContainer.adjust`.
+    """
+    from repro.datastructures import GainContainer
 
-    def lossy(containers, partition, node, delta, counters=None):
+    original = GainContainer.adjust
+
+    def lossy(self, node, delta):
         if delta > 0:
             return  # "forgot" the critical-net +cost rule
-        original(containers, partition, node, delta, counters)
+        original(self, node, delta)
 
-    monkeypatch.setattr(fm, "_apply_delta", lossy)
+    monkeypatch.setattr(GainContainer, "adjust", lossy)
     _expect_violation(FMPartitioner("tree"), graph, "fm-gain")
 
 

@@ -223,6 +223,23 @@ class BucketContainerMachine(RuleBasedStateMachine):
                 self._model_remove(node)
                 self._model_insert(node, new_gain)
 
+    @precondition(lambda self: self.gains)
+    @rule(data=st.data())
+    def adjust_as_update(self, data):
+        """A nonzero in-range adjust is ``update(gain + delta)``: the node
+        goes to the front of its new bucket, and the best pointer lands
+        on the highest non-empty bucket (whole-range jumps included)."""
+        node = data.draw(st.sampled_from(sorted(self.gains)))
+        gain = self.gains[node]
+        new_gain = data.draw(
+            INT_GAINS.filter(lambda g: g != gain), label="new_gain"
+        )
+        self.container.adjust(node, new_gain - gain)
+        self._model_remove(node)
+        self._model_insert(node, new_gain)
+        assert self.container.peek_best() == self._descending()[0]
+        assert self.container._best == max(self.buckets) + self.MAX_GAIN
+
     @rule(node=NODES)
     def gain_of(self, node):
         if node not in self.gains:
@@ -248,7 +265,7 @@ class BucketContainerMachine(RuleBasedStateMachine):
 
     @invariant()
     def internal_linkage_sound(self):
-        self.container._buckets.check_invariants()
+        self.container.check_invariants()
 
 
 TestTreeContainerModel = TreeContainerMachine.TestCase
